@@ -23,6 +23,14 @@ object ZigZag {
     out
   }
 
+  /** A row-major 8×8 table (e.g. a quantization table) in zigzag order. */
+  def permute(rowMajor: Array[Int]): Array[Int] = {
+    val out = new Array[Int](64)
+    var k = 0
+    while (k < 64) { out(k) = rowMajor(order(k)); k += 1 }
+    out
+  }
+
   /** Inverse map: row-major index → zigzag index. */
   val inverse: Array[Int] = {
     val out = new Array[Int](64)

@@ -7,6 +7,22 @@ import repro.PropSupport
 
 class BitIOSpec extends AnyFunSuite with PropSupport {
 
+  /** Bit-at-a-time reference writer: the low `n` bits of each value, MSB
+    * first, with the final byte padded with 1s.
+    */
+  private def referenceBytes(fields: Seq[(Int, Int)]): Array[Byte] = {
+    val bits = fields.flatMap { case (v, n) => (n - 1 to 0 by -1).map(i => (v >>> i) & 1) }
+    val padded = bits ++ Seq.fill((8 - bits.length % 8) % 8)(1)
+    padded.grouped(8).map(_.foldLeft(0)((a, b) => (a << 1) | b).toByte).toArray
+  }
+
+  private def lowBits(v: Int, n: Int): Int = if (n == 32) v else v & ((1 << n) - 1)
+
+  private val fieldGen: Gen[(Int, Int)] = for {
+    n <- Gen.choose(0, 32)
+    v <- Gen.choose(Int.MinValue, Int.MaxValue)
+  } yield (v, n)
+
   test("bit sequences round-trip") {
     checkProp(Prop.forAll(Gen.listOf(Gen.oneOf(0, 1))) { bits =>
       val w = new BitWriter()
@@ -17,16 +33,16 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
   }
 
   test("multi-bit values round-trip") {
-    val valueGen = for {
-      n <- Gen.choose(0, 24)
-      v <- Gen.choose(0, if (n == 0) 0 else (1 << n) - 1)
-    } yield (v, n)
-    checkProp(Prop.forAll(Gen.listOf(valueGen)) { pairs =>
+    // Fields of 0 to 32 bits, checked against a bit-at-a-time writer.
+    checkProp(Prop.forAll(Gen.listOf(fieldGen)) { fields =>
       val w = new BitWriter()
-      pairs.foreach { case (v, n) => w.writeBits(v, n) }
-      val r = new BitReader(w.toBytes)
-      pairs.forall { case (v, n) => r.readBits(n) == v }
-    })
+      fields.foreach { case (v, n) => w.writeBits(v, n) }
+      val bytes = w.toBytes
+      val r = new BitReader(bytes)
+      bytes.sameElements(referenceBytes(fields)) &&
+        w.bitLength == fields.map(_._2.toLong).sum &&
+        fields.forall { case (v, n) => r.readBits(n) == lowBits(v, n) }
+    }, n = 300)
   }
 
   test("bitLength counts exactly") {
@@ -53,9 +69,21 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
   }
 
   test("reading past the end yields padding 1s") {
-    val r = new BitReader(Array[Byte]())
-    assert(r.readBit() == 1)
-    assert(r.readBits(5) == 31)
+    val empty = new BitReader(Array[Byte]())
+    assert(empty.readBit() == 1)
+    assert(empty.readBits(5) == 31)
+    assert(empty.readBits(32) == -1)
+    checkProp(Prop.forAll(Gen.listOf(fieldGen), Gen.listOf(Gen.choose(0, 32))) { (fields, tail) =>
+      val w = new BitWriter()
+      fields.foreach { case (v, n) => w.writeBits(v, n) }
+      val written = w.bitLength
+      val r = new BitReader(w.toBytes)
+      fields.foreach { case (_, n) => r.readBits(n) }
+      // The padding bits of the last byte, then the virtual 1s beyond it.
+      val padding = ((8 - written % 8) % 8).toInt
+      r.readBits(padding) == lowBits(-1, padding) &&
+        tail.forall(n => r.readBits(n) == lowBits(-1, n))
+    })
   }
 
   test("writer grows beyond its initial capacity") {
@@ -67,5 +95,7 @@ class BitIOSpec extends AnyFunSuite with PropSupport {
 
   test("negative bit counts are rejected") {
     assertThrows[IllegalArgumentException](new BitWriter().writeBits(0, -1))
+    assertThrows[IllegalArgumentException](new BitWriter().writeBits(0, 33))
+    assertThrows[IllegalArgumentException](new BitReader(Array[Byte]()).readBits(-1))
   }
 }

@@ -3,8 +3,10 @@ package repro.jpeg
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.{Gen, Prop}
 
+import java.util.zip.CRC32
+
 import repro.PropSupport
-import repro.imaging.{PlanarImage, Rng, SyntheticImages}
+import repro.imaging.{DatasetSpec, PlanarImage, Rng, SyntheticImages}
 
 class CodecSpec extends AnyFunSuite with PropSupport {
 
@@ -58,10 +60,73 @@ class CodecSpec extends AnyFunSuite with PropSupport {
       val scans = Codec.encodeScript(ci, ScanScript.progressive10)
       val (ci2, depth) = Codec.decodeScans(scans, ScanScript.progressive10, 16, 16)
       depth.forall(_.forall(_ == 0)) &&
-        (0 until 3).forall { c =>
-          ci.comps(c).indices.forall(b => ci.comps(c)(b).sameElements(ci2.comps(c)(b)))
-        }
+        (0 until 3).forall(c => ci.comps(c).sameElements(ci2.comps(c)))
     }, n = 25)
+  }
+
+  // ------------------------------------------------------------- golden bytes
+
+  private def crc32(bytes: Array[Byte]): Long = { val c = new CRC32; c.update(bytes); c.getValue }
+
+  private def planesCrc(img: PlanarImage): Long = {
+    val c = new CRC32
+    Seq(img.y, img.cb, img.cr).foreach(_.foreach(c.update))
+    c.getValue
+  }
+
+  /** CRC32s of an image's framed progressive scans and sequential payload,
+    * of its decode at scan groups 1 to 10, and of its sequential decode.
+    */
+  private def goldenCrcs(spec: DatasetSpec, id: Long, seed: Long): Seq[Long] = {
+    val img = SyntheticImages.generate(spec, id, seed)
+    val q = spec.quality
+    val scans = Codec.encodeProgressive(img, q)
+    val seq = Codec.encodeSequential(img, q)
+    Seq(crc32(Codec.frame(scans)), crc32(seq)) ++
+      (1 to 10).map(g => planesCrc(Codec.decodeProgressive(scans.take(g), q, img.width, img.height))) :+
+      planesCrc(Codec.decodeSequential(seq, q, img.width, img.height))
+  }
+
+  test("encoded bytes and decoded pixels match the pinned reference CRCs") {
+    // Pinned from the dense matrix-product DCT and bit-at-a-time bit IO that
+    // the sparse decode path replaced: stored .pcr bytes and decoded pixels
+    // at every scan group must not move.
+    val golden = Seq(
+      (SyntheticImages.imagenet, 3L, Seq(
+        0xa9fe3296L, 0xd649f896L, 0x52ab560bL, 0xef895ac4L, 0xa803d3e5L, 0x64245866L, 0x75e02250L,
+        0xf9968949L, 0xa83e6b4eL, 0xdeaffe6dL, 0x2be4fe5cL, 0x1f34b852L, 0x1f34b852L)),
+      (SyntheticImages.ham10000, 5L, Seq(
+        0x35e4a702L, 0x31ed1e0cL, 0x1faff16dL, 0xa9a4bc14L, 0x0fa67280L, 0xb6f3a07aL, 0x20034157L,
+        0xd75670e7L, 0x330b9125L, 0x05d6896dL, 0xcd644e1eL, 0x5e2099eaL, 0x5e2099eaL)),
+      (SyntheticImages.imagenet.copy(quality = 50), 9L, Seq(
+        0xa024bdacL, 0xbfd00d81L, 0xd1fb5766L, 0x5b4e2411L, 0x4fa7b61cL, 0x82a6ea18L, 0x536bfa4cL,
+        0x7e611ad8L, 0x1540bc92L, 0x7acb5011L, 0x3bdb2058L, 0x2fb4bd39L, 0x2fb4bd39L)))
+    for ((spec, id, expected) <- golden) {
+      val got = goldenCrcs(spec, id, 42L)
+      assert(got == expected, s"${spec.name} q${spec.quality} image $id: " +
+        got.map(v => f"0x$v%08x").mkString(", "))
+    }
+  }
+
+  // --------------------------------------------------------------- allocation
+
+  test("fromCoefficients allocates only its output planes on a scan-1 image") {
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean match {
+      case m: com.sun.management.ThreadMXBean if m.isThreadAllocatedMemorySupported => m
+      case _ => cancel("this JVM cannot measure per-thread allocation")
+    }
+    if (!mx.isThreadAllocatedMemoryEnabled) mx.setThreadAllocatedMemoryEnabled(true)
+    val img = syntheticImage(21)
+    val scans = Codec.encodeProgressive(img, 92)
+    val (ci, depth) = Codec.decodeScans(scans.take(1), ScanScript.progressive10, 64, 64)
+    (0 until 2000).foreach(_ => Codec.fromCoefficients(ci, 92, depth)) // JIT warm-up
+    val allocated = (0 until 5).map { _ =>
+      val a0 = mx.getCurrentThreadAllocatedBytes
+      Codec.fromCoefficients(ci, 92, depth)
+      mx.getCurrentThreadAllocatedBytes - a0
+    }.min
+    val planes = (64 * 64 + 2 * 32 * 32) * 4L
+    assert(allocated <= planes + 8192, s"allocated $allocated B for $planes B of planes")
   }
 
   // ----------------------------------------------------------- prefix behaviour
@@ -145,6 +210,22 @@ class CodecSpec extends AnyFunSuite with PropSupport {
     assert(scans.map(_.length).sum < 200)
     val dec = Codec.decodeProgressive(scans, 92, 32, 32)
     assert(dec.y.forall(_ == 128))
+  }
+
+  test("decode rejects a run that leaves the scan's spectral band") {
+    // Scan 1: six DC blocks of a 16×16 image, each a 4-bit category 0.
+    // Scan 2 (band 1..5): its first symbol is run 15, size 1, so k = 16.
+    val script = Seq(ScanSpec(Seq(0, 1, 2), 0, 0, 0, 0), ScanSpec(Seq(0), 1, 5, 0, 0))
+    val scans = Seq(Array[Byte](0, 0, 0), Array(0xf1.toByte, 0xff.toByte))
+    assertThrows[IllegalArgumentException](Codec.decodeScans(scans, script, 16, 16))
+  }
+
+  test("decode rejects a refinement position that leaves the scan's spectral band") {
+    // Scan 2 refines band 1..5 of the four Y blocks: one new coefficient,
+    // then its 6-bit position 0 (the DC slot) and a sign bit.
+    val script = Seq(ScanSpec(Seq(0, 1, 2), 0, 0, 0, 0), ScanSpec(Seq(0), 1, 5, 1, 0))
+    val scans = Seq(Array[Byte](0, 0, 0), Array(0x04.toByte, 0x0f.toByte))
+    assertThrows[IllegalArgumentException](Codec.decodeScans(scans, script, 16, 16))
   }
 
   test("decode rejects more scan payloads than the script has") {

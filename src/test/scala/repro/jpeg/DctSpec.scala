@@ -10,6 +10,59 @@ class DctSpec extends AnyFunSuite with PropSupport {
   private val blockGen: Gen[Array[Double]] =
     Gen.containerOfN[Array, Double](64, Gen.choose(-128.0, 127.0))
 
+  // ------------------------------------------------- dense reference product
+
+  private val refBasis: Array[Array[Double]] = Array.tabulate(8, 8) { (u, x) =>
+    val c = if (u == 0) 1.0 / math.sqrt(2.0) else 1.0
+    c / 2.0 * math.cos((2 * x + 1) * u * math.Pi / 16.0)
+  }
+
+  /** `Cᵀ F C` as two dense 8×8 products, every term summed in index order. */
+  private def refInverse(coef: Array[Double]): Array[Double] = {
+    val tmp = Array.tabulate(64) { i =>
+      val x = i / 8; val v = i % 8
+      (0 until 8).foldLeft(0.0)((s, u) => s + refBasis(u)(x) * coef(u * 8 + v))
+    }
+    Array.tabulate(64) { i =>
+      val x = i / 8; val y = i % 8
+      (0 until 8).foldLeft(0.0)((s, v) => s + tmp(x * 8 + v) * refBasis(v)(y))
+    }
+  }
+
+  /** `C f Cᵀ` as two dense 8×8 products, every term summed in index order. */
+  private def refForward(block: Array[Double]): Array[Double] = {
+    val tmp = Array.tabulate(64) { i =>
+      val u = i / 8; val y = i % 8
+      (0 until 8).foldLeft(0.0)((s, x) => s + refBasis(u)(x) * block(x * 8 + y))
+    }
+    Array.tabulate(64) { i =>
+      val u = i / 8; val v = i % 8
+      (0 until 8).foldLeft(0.0)((s, y) => s + tmp(u * 8 + y) * refBasis(v)(y))
+    }
+  }
+
+  private def sameBits(a: Array[Double], b: Array[Double]): Boolean =
+    a.length == b.length && a.indices.forall(i =>
+      java.lang.Double.doubleToRawLongBits(a(i)) == java.lang.Double.doubleToRawLongBits(b(i)))
+
+  /** Scratch and output buffers start dirty, so a result cannot lean on them. */
+  private def dirty(): Array[Double] = Array.fill(64)(Double.NaN)
+
+  private val coefGen: Gen[Double] = Gen.choose(-2048, 2048).map(_.toDouble)
+
+  /** Dense, DC-only, all-zero and sparse blocks with whole zero columns and
+    * zero column tails — the shapes the inverse's shortcuts distinguish.
+    */
+  private val coefBlockGen: Gen[Array[Double]] = Gen.oneOf(
+    Gen.containerOfN[Array, Double](64, coefGen),
+    coefGen.map(dc => Array.tabulate(64)(i => if (i == 0) dc else 0.0)),
+    Gen.const(new Array[Double](64)),
+    for {
+      dense <- Gen.containerOfN[Array, Double](64, coefGen)
+      rows  <- Gen.containerOfN[Array, Int](8, Gen.choose(0, 8)) // kept rows per column
+      keep  <- Gen.containerOfN[Array, Boolean](64, Gen.frequency(3 -> true, 1 -> false))
+    } yield Array.tabulate(64)(i => if (i / 8 < rows(i % 8) && keep(i)) dense(i) else 0.0))
+
   test("forward then inverse is the identity (orthonormal transform)") {
     checkProp(Prop.forAll(blockGen) { b =>
       val r = Dct.inverse(Dct.forward(b))
@@ -49,9 +102,35 @@ class DctSpec extends AnyFunSuite with PropSupport {
     })
   }
 
+  test("inverseInto equals the dense reference product bit for bit") {
+    checkProp(Prop.forAll(coefBlockGen) { coef =>
+      val out = dirty()
+      Dct.inverseInto(coef, dirty(), out)
+      sameBits(out, refInverse(coef)) && sameBits(Dct.inverse(coef), out)
+    }, n = 400)
+  }
+
+  test("forwardInto equals the dense reference product bit for bit") {
+    checkProp(Prop.forAll(blockGen) { block =>
+      val out = dirty()
+      Dct.forwardInto(block, dirty(), out)
+      sameBits(out, refForward(block)) && sameBits(Dct.forward(block), out)
+    })
+  }
+
+  test("a DC-only block inverts to the constant dcOnly(F00)") {
+    checkProp(Prop.forAll(coefGen) { dc =>
+      val coef = new Array[Double](64)
+      coef(0) = dc
+      Dct.inverse(coef).forall(v => v == Dct.dcOnly(dc))
+    })
+  }
+
   test("rejects wrong-sized blocks") {
     assertThrows[IllegalArgumentException](Dct.forward(new Array[Double](63)))
     assertThrows[IllegalArgumentException](Dct.inverse(new Array[Double](65)))
+    assertThrows[IllegalArgumentException](
+      Dct.inverseInto(new Array[Double](64), new Array[Double](8), new Array[Double](64)))
   }
 
   test("a pure basis function concentrates into one coefficient") {
